@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -313,25 +314,29 @@ class FlowTimePlanner:
         # triage: feasible jobs keep their urgency, like EDF sacrificing the
         # least-urgent work, but chosen by an LP), and finally stretch
         # everything.  A relax-everything jump would schedule like there
-        # were no deadlines at all.
+        # were no deadlines at all.  The ladder is lazy: a rung's windows
+        # (and the max-placement LP behind a relaxed rung) are computed
+        # only once the rung before it has failed, which it almost never
+        # does.
         stretched = int(horizon * 3 / 2) + 1
-        ladder: list[tuple[list[ScheduleEntry], int]] = []
-        if config.slack_slots:
-            ladder.append((clamp(slacked, horizon), horizon))
-        ladder.append((clamp(plain, horizon), horizon))
-        relaxed, relaxed_horizon = self._shortfall_relax(
-            clamp(plain, horizon), now_slot, capacity, horizon, config
-        )
-        ladder.append((relaxed, relaxed_horizon))
-        relaxed2, relaxed2_horizon = self._shortfall_relax(
-            relaxed, now_slot, capacity, relaxed_horizon, config
-        )
-        ladder.append((relaxed2, relaxed2_horizon))
-        ladder.append(
-            ([replace(e, deadline=stretched) for e in clamp(plain, stretched)], stretched)
-        )
 
-        for rung, (attempt_entries, attempt_horizon) in enumerate(ladder):
+        def ladder() -> Iterator[tuple[str, list[ScheduleEntry], int]]:
+            if config.slack_slots:
+                yield "slack", clamp(slacked, horizon), horizon
+            base = clamp(plain, horizon)
+            yield "plain", base, horizon
+            relaxed, relaxed_horizon = self._shortfall_relax(
+                base, now_slot, capacity, horizon, config
+            )
+            yield "relax1", relaxed, relaxed_horizon
+            relaxed2, relaxed2_horizon = self._shortfall_relax(
+                relaxed, now_slot, capacity, relaxed_horizon, config
+            )
+            yield "relax2", relaxed2, relaxed2_horizon
+            everything = clamp(plain, stretched)
+            yield "stretch", [replace(e, deadline=stretched) for e in everything], stretched
+
+        for rung, (name, attempt_entries, attempt_horizon) in enumerate(ladder()):
             caps = caps_array(capacity, now_slot, attempt_horizon)
             problem = build_schedule_problem(
                 attempt_entries,
@@ -359,8 +364,10 @@ class FlowTimePlanner:
             if result.is_optimal:
                 grants = self._quantize(problem, result.x, config)
                 if grants is not None:
+                    obs = current_obs()
+                    obs.counter(f"sched.plan.rung.{name}").inc()
                     if result.warm:
-                        current_obs().counter("sched.plan.warm").inc()
+                        obs.counter("sched.plan.warm").inc()
                     if config.warm_start:
                         self._remember_skyline(
                             now_slot, resources, problem, result
@@ -433,7 +440,10 @@ class FlowTimePlanner:
         )
         try:
             sol = solve_lp(
-                lp, backend=config.backend, time_budget_s=config.solve_budget_s
+                lp,
+                backend=config.backend,
+                tag="relax",
+                time_budget_s=config.solve_budget_s,
             )
         except SolverFailure:
             # Window relaxation is best-effort triage: without the shortfall

@@ -3,7 +3,10 @@
 The paper solves its scheduling LP with CPLEX (Sec. VII).  We provide
 interchangeable backends behind one registry (:mod:`repro.lp.solver`):
 
-* :mod:`repro.lp.scipy_backend` — scipy's HiGHS (the default; fast, sparse);
+* :mod:`repro.lp.scipy_backend` — the HiGHS build bundled with scipy (the
+  default; fast, sparse), called directly with the model and options
+  ``linprog(method="highs")`` would pass, so results are bit-identical to
+  ``linprog``'s without its per-call wrapper cost (needs scipy>=1.15);
 * :mod:`repro.lp.simplex` — a from-scratch dense two-phase simplex, so the
   reproduction does not depend on any external solver for correctness (it is
   also what makes the "LP vertex solutions are integral on TU matrices"

@@ -5,7 +5,8 @@ Backends are :class:`SolverBackend` objects — a name, metadata, a
 held in a process-wide registry (mirroring
 :mod:`repro.schedulers.registry`).  Three ship by default:
 
-* ``highs`` — scipy's HiGHS (sparse, exact, produces duals; the default);
+* ``highs`` — scipy's bundled HiGHS, called directly (sparse, exact,
+  produces duals; the default);
 * ``simplex`` — the from-scratch dense two-phase simplex;
 * ``fastsolve`` — the structure-exploiting parametric max-flow solver of
   :mod:`repro.lp.fastsolve`; it *claims* theta-form interval LPs via
