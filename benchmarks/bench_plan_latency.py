@@ -128,10 +128,7 @@ def xlarge_scale() -> Scale:
 
     32 distinct templates stamped out 32 times each: 1024 workflows, with
     a whole template generation live concurrently every period.  Demands
-    are cpu-only, which keeps every lexmin round subproblem inside the
-    interval-structured class — run with ``--lp-backend fastsolve`` to
-    measure what the combinatorial solver buys end to end at a scale where
-    the general-purpose LP path dominates plan latency.
+    are cpu-only.
     """
     templates = tuple(
         (
@@ -193,7 +190,6 @@ def _histogram(stats) -> dict:
 def run_scale(
     scale: Scale,
     capacity: ClusterCapacity,
-    lp_backend: str | None = None,
 ) -> dict:
     """Run the scale's modes over its trace and collect the comparison."""
     trace = build_trace(scale)
@@ -203,7 +199,7 @@ def run_scale(
             "FlowTime",
             trace,
             capacity,
-            config=SimulationConfig(lp_backend=lp_backend),
+            config=SimulationConfig(),
             # work_conserving soak depends on leftover capacity, which an
             # ad-hoc-free steady state keeps periodic anyway; disabling it
             # removes the one coupling that could differ across modes.
@@ -240,7 +236,6 @@ def run_scale(
     outcomes = [run["outcome"] for run in runs.values()]
     return {
         "scale": scale.name,
-        "lp_backend": lp_backend or "default",
         "n_workflows": len(trace.workflows),
         "n_deadline_jobs": trace.n_deadline_jobs,
         "period_slots": scale.period_slots,
@@ -266,15 +261,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--xlarge",
         action="store_true",
-        help="also run the opt-in thousands-of-workflows scenario (long; "
-        "pair with --lp-backend fastsolve to measure the flow path)",
-    )
-    parser.add_argument(
-        "--lp-backend",
-        default=None,
-        metavar="NAME",
-        help="planner LP backend for every run (default: the registry "
-        "default; e.g. fastsolve)",
+        help="also run the opt-in thousands-of-workflows scenario (long)",
     )
     parser.add_argument(
         "--min-hit-rate",
@@ -300,7 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     scenarios = []
     for scale in scales:
         print(f"[{scale.name}] running {', '.join(scale.modes)} ...", flush=True)
-        scenario = run_scale(scale, capacity, lp_backend=args.lp_backend)
+        scenario = run_scale(scale, capacity)
         scenarios.append(scenario)
         print(
             f"[{scale.name}] hit_rate={scenario['hit_rate']:.0%} "
@@ -317,7 +304,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = {
         "benchmark": "plan_latency",
         "quick": args.quick,
-        "lp_backend": args.lp_backend or "default",
         "cluster": {"cpu": args.cpu, "mem": args.mem},
         "scenarios": scenarios,
         "summary": {

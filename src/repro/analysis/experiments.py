@@ -97,12 +97,7 @@ def run_one(
     """
     if windows is None:
         windows = canonical_windows(trace, capacity)
-    scheduler_kwargs = dict(scheduler_kwargs or {})
-    if config is not None and config.lp_backend and name.startswith("FlowTime"):
-        planner = dict(scheduler_kwargs.get("planner", {}))
-        planner.setdefault("backend", config.lp_backend)
-        scheduler_kwargs["planner"] = planner
-    scheduler = make_scheduler(name, history=history, **scheduler_kwargs)
+    scheduler = make_scheduler(name, history=history, **(scheduler_kwargs or {}))
     sim = Simulation(
         cluster=capacity,
         scheduler=scheduler,

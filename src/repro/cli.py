@@ -39,7 +39,6 @@ from repro.analysis.reporting import (
     turnaround_ratios,
 )
 from repro.core.decomposition import decompose_deadline
-from repro.lp import available_backends
 from repro.model.cluster import ClusterCapacity
 from repro.obs import JsonlSink, Observability
 from repro.schedulers.registry import available_schedulers
@@ -236,16 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(FlowTime only)",
     )
     run.add_argument(
-        # Choices come from the live solver registry, mirroring --scheduler:
-        # backends added via repro.lp.register_backend() appear here.
-        "--lp-backend",
-        default=None,
-        choices=sorted(available_backends()),
-        help="LP solver backend for planner-based schedulers (default: the "
-        "planner's own default, highs; 'fastsolve' lowers structured round "
-        "subproblems to a combinatorial flow solve)",
-    )
-    run.add_argument(
         "--verify",
         action="store_true",
         help="run the independent verification layer (docs/VERIFICATION.md): "
@@ -391,13 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve over the asyncio HTTP frontend instead of the "
         "thread-per-connection stdlib server (single service only; the "
         "high-throughput path — see BENCH_throughput.json)",
-    )
-    serve.add_argument(
-        "--lp-backend",
-        default=None,
-        choices=sorted(available_backends()),
-        help="LP solver backend for planner-based schedulers (see "
-        "`repro run --lp-backend`)",
     )
     serve.add_argument(
         "--realtime",
@@ -687,7 +669,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     record_execution=args.gantt,
                     failures=failures,
                     verify=args.verify,
-                    lp_backend=args.lp_backend,
                     engine=args.engine,
                 ),
                 scheduler_kwargs=scheduler_kwargs,
@@ -853,7 +834,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         scheduler=args.scheduler,
         scheduler_kwargs=scheduler_kwargs,
-        lp_backend=args.lp_backend,
         slot_seconds=args.slot_seconds,
         realtime=args.realtime,
         batch_window_s=args.batch_window,

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.decomposition import decompose_deadline
 from repro.core.flowtime import JobDemand, PlannerConfig, caps_array
-from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
-from repro.lp.problem import LinearProgram
+from repro.core.lp_formulation import ScheduleEntry, build_max_placement
 from repro.lp.solver import solve_lp
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
@@ -146,18 +144,7 @@ def _check_admission(
         )
     horizon = max(entry.deadline for entry in entries)
     caps = caps_array(capacity, now_slot, horizon)
-    problem = build_schedule_problem(
-        entries, caps, capacity.resources, mode="coupled", per_slot_caps=True
-    )
-
-    cap_rows = problem.cell_caps()
-    lp = LinearProgram(
-        c=-np.ones(problem.n_vars),
-        a_ub=sparse.vstack([problem.a_util, problem.a_eq]).tocsr(),
-        b_ub=np.concatenate([cap_rows, problem.b_eq]),
-        lb=np.zeros(problem.n_vars),
-        ub=problem.var_ub,
-    )
+    problem, lp = build_max_placement(entries, caps, capacity.resources)
     sol = solve_lp(lp, tag="admission")
     x = sol.require_optimal()
     placed = np.asarray(problem.a_eq @ x).ravel()
@@ -169,7 +156,9 @@ def _check_admission(
             shortfalls[entry.job_id] = missing
 
     loads = np.asarray(problem.a_util @ x).ravel()
-    utilisation = float((loads / np.maximum(cap_rows, 1e-12)).max(initial=0.0))
+    utilisation = float(
+        (loads / np.maximum(problem.cell_caps(), 1e-12)).max(initial=0.0)
+    )
     return AdmissionDecision(
         admit=not shortfalls,
         shortfall_units=shortfalls,

@@ -29,7 +29,6 @@ solve's skyline warm-starts the lexmin ladder on near-identical ones; see
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -46,6 +45,7 @@ from repro.core.lp_formulation import (
     Mode,
     ScheduleEntry,
     ScheduleProblem,
+    build_max_placement,
     build_schedule_problem,
 )
 from repro.core.replan import CachedPlan, PlanCache, PlanRequest
@@ -77,11 +77,6 @@ class PlannerConfig:
         formulation: "coupled" (default; task-slot variables, executable) or
             "paper" (per-resource variables, Lemma-2-faithful).
         per_slot_caps: bound per-slot grants by the job's parallelism.
-        backend: LP backend name from the solver registry
-            (``repro.lp.available_backends()``; default "highs").
-            "fastsolve" lowers structured round subproblems to a
-            combinatorial parametric max-flow and falls back to "highs"
-            for instances without the interval structure.
         max_lexmin_rounds: minimax refinement rounds (None = exact lexmin;
             small values keep re-planning fast with near-identical plans).
         horizon_slots: hard cap on the planning horizon (None = plan until
@@ -112,7 +107,6 @@ class PlannerConfig:
     slack_slots: int = 6
     formulation: Mode = "coupled"
     per_slot_caps: bool = True
-    backend: str = "highs"
     max_lexmin_rounds: int | None = 4
     horizon_slots: int | None = None
     front_load: bool = True
@@ -199,17 +193,8 @@ class FlowTimePlanner:
 
     # -- planning ----------------------------------------------------------------
 
-    def plan(
-        self,
-        request: PlanRequest | int,
-        demands: list[JobDemand] | None = None,
-        capacity: ClusterCapacity | None = None,
-    ) -> AllocationPlan:
+    def plan(self, request: PlanRequest) -> AllocationPlan:
         """Compute an integral allocation plan for the live deadline jobs.
-
-        Takes a single :class:`~repro.core.replan.PlanRequest`.  (The old
-        positional signature ``plan(now_slot, demands, capacity)`` still
-        works for one release but emits a :class:`DeprecationWarning`.)
 
         Returns an :class:`AllocationPlan` anchored at the request's
         ``now_slot``.  When there are no demands the plan is empty
@@ -217,20 +202,6 @@ class FlowTimePlanner:
         the LP was infeasible even with relaxed windows and EDF
         water-filling was used.
         """
-        if not isinstance(request, PlanRequest):
-            warnings.warn(
-                "FlowTimePlanner.plan(now_slot, demands, capacity) is "
-                "deprecated; pass a single PlanRequest instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if demands is None or capacity is None:
-                raise TypeError(
-                    "legacy plan() call requires now_slot, demands and capacity"
-                )
-            request = PlanRequest(
-                now_slot=request, demands=tuple(demands), capacity=capacity
-            )
         config = request.config or self.config
         obs = current_obs()
         with obs.span("sched.plan"):
@@ -355,7 +326,6 @@ class FlowTimePlanner:
             )
             result = lexmin_schedule(
                 problem,
-                backend=config.backend,
                 max_rounds=config.max_lexmin_rounds,
                 front_load=config.front_load,
                 warm_hint=hint,
@@ -416,35 +386,13 @@ class FlowTimePlanner:
         at full parallelism; everyone else keeps their window.  Returns the
         relaxed entries and the (possibly grown) horizon.
         """
-        from repro.lp.problem import LinearProgram
         from repro.lp.solver import SolverFailure, solve_lp
 
         config = config or self.config
         caps = caps_array(capacity, now_slot, horizon)
-        problem = build_schedule_problem(
-            entries,
-            caps,
-            capacity.resources,
-            mode="coupled",
-            per_slot_caps=True,
-        )
-        cap_rows = problem.cell_caps()
-        from scipy import sparse
-
-        lp = LinearProgram(
-            c=-np.ones(problem.n_vars),
-            a_ub=sparse.vstack([problem.a_util, problem.a_eq]).tocsr(),
-            b_ub=np.concatenate([cap_rows, problem.b_eq]),
-            lb=np.zeros(problem.n_vars),
-            ub=problem.var_ub,
-        )
+        problem, lp = build_max_placement(entries, caps, capacity.resources)
         try:
-            sol = solve_lp(
-                lp,
-                backend=config.backend,
-                tag="relax",
-                time_budget_s=config.solve_budget_s,
-            )
+            sol = solve_lp(lp, tag="relax", time_budget_s=config.solve_budget_s)
         except SolverFailure:
             # Window relaxation is best-effort triage: without the shortfall
             # oracle we keep the windows as-is and let the ladder's blanket

@@ -108,10 +108,8 @@ def build_round_lp(
     Variables are the allocation variables plus a trailing theta column.
     Rows, in order: active cells (``load - theta * C <= 0``), frozen cells
     (``load <= frozen_value``), and the hard capacity rows (``load <= C``).
-    This is the theta-form interval LP that
-    :func:`repro.lp.unimodular.detect_interval_structure` certifies and the
-    ``fastsolve`` backend lowers to a max-flow; it is public so tests and
-    benchmarks can generate round subproblems without running the ladder.
+    It is public so tests and benchmarks can generate round subproblems
+    without running the ladder.
     """
     n_vars = problem.n_vars
     n_cells = len(problem.util_cells)

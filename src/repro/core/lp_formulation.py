@@ -18,7 +18,9 @@ Two variable layouts are supported:
 
 Both layouts share :class:`ScheduleProblem`, which pre-assembles the sparse
 utilisation matrix so the lexicographic minimax solver can slice rows
-cheaply on every round.
+cheaply on every round.  :func:`build_max_placement` derives the one other
+LP the system poses — maximise total placement under the windows — which
+both admission control and the planner's shortfall relaxation solve.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Literal, Sequence
 import numpy as np
 from scipy import sparse
 
+from repro.lp.problem import LinearProgram
 from repro.model.resources import ResourceVector
 from repro.obs import current_obs
 
@@ -285,3 +288,30 @@ def _build_schedule_problem(
         var_meta=var_meta,
         mode=mode,
     )
+
+
+def build_max_placement(
+    entries: Sequence[ScheduleEntry],
+    caps: np.ndarray,
+    resources: Sequence[str],
+) -> tuple[ScheduleProblem, LinearProgram]:
+    """The max-placement LP over *entries*: how much work can fit at all?
+
+    Demands are relaxed to ``<=`` and the total placed task-slots is
+    maximised (``c = -1``) under the coupled, parallelism-capped layout:
+    ``[a_util; a_eq] x <= [cell caps; b_eq]``.  Each job's shortfall
+    ``b_eq - a_eq @ x`` at the optimum is work that provably cannot be
+    placed before its deadline.  Returns the problem (to read the optimum
+    back) and the LP; the caller solves it.
+    """
+    problem = build_schedule_problem(
+        entries, caps, resources, mode="coupled", per_slot_caps=True
+    )
+    lp = LinearProgram(
+        c=-np.ones(problem.n_vars),
+        a_ub=sparse.vstack([problem.a_util, problem.a_eq]).tocsr(),
+        b_ub=np.concatenate([problem.cell_caps(), problem.b_eq]),
+        lb=np.zeros(problem.n_vars),
+        ub=problem.var_ub,
+    )
+    return problem, lp

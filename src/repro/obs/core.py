@@ -20,8 +20,8 @@ through every signature, so the *current* observability is carried in a
   nothing leaks across runs, even when runs nest or interleave.
 
 Span names used by the instrumented stack (``seconds`` histograms of the
-same name): ``decompose``, ``lp.build``, ``lp.presolve``, ``lp.solve``,
-``sched.plan``, ``sched.decide``, ``sim.slot``, ``admission.check``.
+same name): ``decompose``, ``lp.build``, ``lp.solve``, ``sched.plan``,
+``sched.decide``, ``sim.slot``, ``admission.check``.
 """
 
 from __future__ import annotations

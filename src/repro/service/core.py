@@ -147,15 +147,10 @@ class SchedulerService:
         self.cluster = cluster
         self.config = config or ServiceConfig()
         self.obs = obs if obs is not None else Observability()
-        scheduler_kwargs = dict(self.config.scheduler_kwargs)
-        if self.config.lp_backend and self.config.scheduler.startswith("FlowTime"):
-            planner = dict(scheduler_kwargs.get("planner", {}))
-            planner.setdefault("backend", self.config.lp_backend)
-            scheduler_kwargs["planner"] = planner
         self.scheduler = (
             scheduler
             if scheduler is not None
-            else make_scheduler(self.config.scheduler, **scheduler_kwargs)
+            else make_scheduler(self.config.scheduler, **self.config.scheduler_kwargs)
         )
         self._core = make_engine_core(
             cluster,

@@ -159,27 +159,6 @@ def make_engine_core(
     )
 
 
-def _apply_lp_backend(scheduler: "Scheduler", backend: str) -> None:
-    """Point a planner-based scheduler at the configured LP backend.
-
-    Schedulers built by name (the CLI, ``run_one``, the service) receive
-    ``lp_backend`` through their planner kwargs before construction; this
-    covers scheduler *objects* handed straight to the engine.  An
-    explicitly configured planner backend wins — only the registry
-    default is overridden.
-    """
-    from dataclasses import replace
-
-    from repro.lp.solver import DEFAULT_BACKEND
-
-    planner = getattr(scheduler, "planner", None)
-    pconfig = getattr(planner, "config", None)
-    if pconfig is None or getattr(pconfig, "backend", None) != DEFAULT_BACKEND:
-        return
-    if backend != DEFAULT_BACKEND:
-        planner.config = replace(pconfig, backend=backend)
-
-
 class EngineCore:
     """Dynamic slot-stepping core binding a cluster, a scheduler, and jobs.
 
@@ -221,8 +200,6 @@ class EngineCore:
         # Prefer the span-wrapped ``decide`` of repro schedulers; duck-typed
         # stand-ins (test doubles) only need ``assign``.
         self._decide = getattr(scheduler, "decide", scheduler.assign)
-        if config.lp_backend:
-            _apply_lp_backend(scheduler, config.lp_backend)
         self._failure_rng = config.failures.rng() if config.failures else None
         # The independent runtime assertion layer (repro.verify), enabled
         # by config.verify: each executed slot is re-checked from the raw

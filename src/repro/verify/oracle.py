@@ -92,9 +92,8 @@ def generate_instance(seed: int, *, single_resource: bool = False) -> OracleInst
 
     ``single_resource`` drops the mem dimension (capacity and demands), the
     regime where the coupled formulation has uniform per-variable weights
-    and the fastsolve backend's interval-structure detection fires — the
-    slice the ``solver-bench`` CI job runs the oracle on.  The same seed
-    draws the same cpu-side instance either way.
+    (the slice the ``solver-bench`` CI job runs the oracle on).  The same
+    seed draws the same cpu-side instance either way.
     """
     rng = np.random.default_rng(seed)
     cpu = int(rng.integers(3, 9))
@@ -307,7 +306,7 @@ def integral_feasible(
     return _search_schedules(instance, per_job, first_only=True) is not None
 
 
-def _production_plan(instance: OracleInstance, *, backend: str = "highs"):
+def _production_plan(instance: OracleInstance):
     """Plan the instance through the production FlowTime path."""
     from repro.core.flowtime import FlowTimePlanner, JobDemand, PlannerConfig
     from repro.core.replan import PlanRequest
@@ -329,9 +328,7 @@ def _production_plan(instance: OracleInstance, *, backend: str = "highs"):
     planner = FlowTimePlanner(
         # slack_slots=0 keeps the planner's windows identical to the
         # oracle's; cache/warm-start off so every instance is a cold solve.
-        PlannerConfig(
-            slack_slots=0, plan_cache=False, warm_start=False, backend=backend
-        )
+        PlannerConfig(slack_slots=0, plan_cache=False, warm_start=False)
     )
     request = PlanRequest(now_slot=0, demands=demands, capacity=capacity)
     return planner.plan(request)
@@ -379,13 +376,11 @@ def _validate_plan(instance: OracleInstance, plan) -> list[str]:
     return problems
 
 
-def check_instance(
-    seed: int, *, backend: str = "highs", single_resource: bool = False
-) -> OracleOutcome:
+def check_instance(seed: int, *, single_resource: bool = False) -> OracleOutcome:
     """Generate, solve both ways, and compare one seeded instance.
 
-    ``backend`` selects the production planner's LP backend; the oracle LP
-    always runs dense ``linprog`` so the comparison stays independent.
+    The production planner runs its usual HiGHS path; the oracle LP always
+    runs dense ``linprog`` so the comparison stays independent.
     """
     instance = generate_instance(seed, single_resource=single_resource)
     theta_oracle = oracle_minimax(instance)
@@ -393,7 +388,7 @@ def check_instance(
         # Jointly over-committed: the production ladder relaxes windows
         # here and no shared optimum is defined.
         return OracleOutcome(seed=seed, status="skipped", detail="infeasible")
-    plan = _production_plan(instance, backend=backend)
+    plan = _production_plan(instance)
     theta_prod = float(plan.minimax)
     if getattr(plan, "degraded", False):
         return OracleOutcome(
@@ -461,16 +456,13 @@ def run_oracle(
     seeds,
     *,
     min_agreements: int | None = None,
-    backend: str = "highs",
     single_resource: bool = False,
 ) -> list[OracleOutcome]:
     """Check a sequence of seeds; optionally stop once enough agree."""
     outcomes = []
     agreements = 0
     for seed in seeds:
-        outcome = check_instance(
-            int(seed), backend=backend, single_resource=single_resource
-        )
+        outcome = check_instance(int(seed), single_resource=single_resource)
         outcomes.append(outcome)
         if outcome.status == "agree":
             agreements += 1

@@ -156,53 +156,53 @@ class TestPaperFormulation:
             assert load.fits_in(cluster.at(slot))
 
 
-class TestDeprecatedPositionalSignature:
-    def test_positional_call_warns_and_still_plans(self, cluster):
-        planner = FlowTimePlanner(PlannerConfig(slack_slots=0))
-        with pytest.warns(DeprecationWarning, match="PlanRequest"):
-            legacy = planner.plan(0, [demand(units=6, deadline=6)], cluster)
-        assert legacy.total_units("j") == 6
-        modern = make_plan(
+class TestPlanRequestSignature:
+    def test_fresh_planners_give_identical_plans(self, cluster):
+        first = make_plan(
             FlowTimePlanner(PlannerConfig(slack_slots=0)),
             0,
             [demand(units=6, deadline=6)],
             cluster,
         )
-        assert (legacy.grants["j"] == modern.grants["j"]).all()
+        assert first.total_units("j") == 6
+        second = make_plan(
+            FlowTimePlanner(PlannerConfig(slack_slots=0)),
+            0,
+            [demand(units=6, deadline=6)],
+            cluster,
+        )
+        assert (first.grants["j"] == second.grants["j"]).all()
 
-    def test_positional_call_requires_all_arguments(self, cluster):
+    def test_positional_call_is_a_type_error(self, cluster):
+        # The pre-PlanRequest signature plan(now_slot, demands, capacity)
+        # is gone: plan() takes a single PlanRequest.
         with pytest.raises(TypeError):
-            with pytest.warns(DeprecationWarning):
-                FlowTimePlanner().plan(0, [demand()])
+            FlowTimePlanner().plan(0, [demand()], cluster)
 
-    def test_positional_path_identical_to_request_path(self, cluster):
-        # The shim must be a pure re-packaging: a contended multi-job plan
-        # computed through the legacy signature matches the PlanRequest
-        # path field for field, not just in totals.
+    def test_cached_plan_identical_to_cold_plan(self, cluster):
+        # A contended multi-job plan answered from the plan cache matches a
+        # cold solve by a fresh planner field for field, not just in totals.
         demands = [
             demand(job_id=f"j{i}", units=8, deadline=8 + 2 * i, cores=2, mem=4)
             for i in range(4)
         ]
-        with pytest.warns(DeprecationWarning, match="PlanRequest"):
-            legacy = FlowTimePlanner().plan(3, demands, cluster)
-        modern = FlowTimePlanner().plan(
-            PlanRequest(now_slot=3, demands=tuple(demands), capacity=cluster)
-        )
-        assert legacy.origin_slot == modern.origin_slot
-        assert legacy.horizon == modern.horizon
-        assert legacy.degraded == modern.degraded
-        assert set(legacy.grants) == set(modern.grants)
-        for job_id, grant in modern.grants.items():
-            assert (legacy.grants[job_id] == grant).all(), job_id
+        planner = FlowTimePlanner()
+        make_plan(planner, 3, demands, cluster)
+        cached = make_plan(planner, 3, demands, cluster)
+        assert planner.plan_cache.hits == 1
+        cold = make_plan(FlowTimePlanner(), 3, demands, cluster)
+        assert cached.origin_slot == cold.origin_slot
+        assert cached.horizon == cold.horizon
+        assert cached.degraded == cold.degraded
+        assert set(cached.grants) == set(cold.grants)
+        for job_id, grant in cold.grants.items():
+            assert (cached.grants[job_id] == grant).all(), job_id
 
-    def test_positional_call_shares_the_plan_cache(self, cluster):
-        # Same planner, same inputs: the legacy call should be answered
-        # straight from the cache entry the PlanRequest call created.
+    def test_equal_requests_share_the_plan_cache(self, cluster):
         planner = FlowTimePlanner()
         demands = [demand(units=6, deadline=6)]
-        planner.plan(PlanRequest(now_slot=0, demands=tuple(demands), capacity=cluster))
+        make_plan(planner, 0, demands, cluster)
         assert planner.plan_cache.misses == 1
-        with pytest.warns(DeprecationWarning, match="PlanRequest"):
-            planner.plan(0, demands, cluster)
+        make_plan(planner, 0, list(demands), cluster)
         assert planner.plan_cache.hits == 1
         assert planner.plan_cache.misses == 1

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
+from repro.core.lp_formulation import (
+    ScheduleEntry,
+    build_max_placement,
+    build_schedule_problem,
+)
+from repro.lp import solve_lp
 from repro.lp.unimodular import (
     has_consecutive_ones_columns,
     is_totally_unimodular,
@@ -130,3 +135,34 @@ class TestPaperMode:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             build_schedule_problem([entry()], caps(), RES, mode="magic")
+
+
+class TestMaxPlacement:
+    def test_lp_shape_is_relaxed_demands_under_caps(self):
+        entries = [entry("a"), entry("b", release=1, deadline=5, units=4)]
+        problem, lp = build_max_placement(entries, caps(), RES)
+        n_cells = len(problem.util_cells)
+        assert np.array_equal(lp.c, -np.ones(problem.n_vars))
+        assert lp.a_ub.shape == (n_cells + len(entries), problem.n_vars)
+        assert np.array_equal(lp.b_ub[:n_cells], problem.cell_caps())
+        assert np.array_equal(lp.b_ub[n_cells:], problem.b_eq)
+        assert lp.a_eq.shape[0] == 0
+        assert np.array_equal(lp.ub, problem.var_ub)
+
+    def test_optimum_places_everything_that_fits(self):
+        problem, lp = build_max_placement([entry()], caps(), RES)
+        x = solve_lp(lp).require_optimal()
+        assert (problem.a_eq @ x).sum() == pytest.approx(6.0)
+
+    def test_optimum_exposes_the_shortfall(self):
+        # Two 8-unit jobs, 4 cores each, in a 2-slot window of 20 cores:
+        # 10 units fit, so 6 units are short between them.
+        entries = [
+            entry(f"j{i}", deadline=2, units=8, cores=4, mem=1, parallel=8)
+            for i in range(2)
+        ]
+        problem, lp = build_max_placement(entries, caps(horizon=2), RES)
+        x = solve_lp(lp).require_optimal()
+        placed = np.asarray(problem.a_eq @ x).ravel()
+        assert placed.sum() == pytest.approx(10.0)
+        assert (problem.b_eq - placed).sum() == pytest.approx(6.0)

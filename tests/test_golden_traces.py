@@ -37,12 +37,6 @@ class TestCorpusPinned:
         assert not problems, problems
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_pinned_case_reproduces_under_fastsolve(self, name):
-        """The combinatorial backend must not move a single pinned byte."""
-        problems = check_corpus(names=[name], lp_backend="fastsolve")
-        assert not problems, problems
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_pinned_workload_reloads(self, name):
         trace, capacity = load_workload(
             default_corpus_dir() / name / "workload.json"

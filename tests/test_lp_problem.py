@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.lp import LinearProgram, LPStatus, available_backends, solve_lp
+from repro.lp import LinearProgram, LPStatus, solve_lp
 from repro.lp.problem import LPSolution
 
 
@@ -43,7 +43,12 @@ class TestLinearProgram:
 
 class TestSolveRegistry:
     def test_backends_available(self):
-        assert set(available_backends()) == {"fastsolve", "highs", "simplex"}
+        # The solver knows exactly the HiGHS/simplex pair.
+        lp = LinearProgram(c=[1.0], ub=[1.0])
+        for name in ("highs", "simplex"):
+            assert solve_lp(lp, backend=name).is_optimal
+        with pytest.raises(ValueError, match="'highs', 'simplex'"):
+            solve_lp(lp, backend="fastsolve")
 
     def test_unknown_backend_raises(self):
         lp = LinearProgram(c=[1.0])

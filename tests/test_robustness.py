@@ -108,6 +108,33 @@ class TestSolverGuardrails:
         snap = obs.registry.snapshot()
         assert snap["lp.solve.budget_exceeded"]["value"] == 1
 
+    def test_slow_failure_does_not_start_the_retry(self):
+        # A first attempt that fails only after the budget is spent must
+        # not start the alternate: the call is already late, so it raises
+        # a budget failure at once instead of stalling for a second solve.
+        import time
+
+        attempts = []
+
+        def slow_then_fail(backend, problem):
+            attempts.append(backend)
+            if backend == "highs":
+                time.sleep(0.06)
+                raise InjectedSolverError("slow failure")
+
+        obs = Observability()
+        install_fault_injector(slow_then_fail)
+        with use_obs(obs), pytest.raises(SolverFailure) as excinfo:
+            solve_lp(tiny_lp(), backend="highs", time_budget_s=0.03)
+        assert attempts == ["highs"]
+        assert excinfo.value.reason == "budget"
+        assert excinfo.value.backend == "highs"
+        snap = obs.registry.snapshot()
+        assert snap["lp.solve.budget_exceeded"]["value"] == 1
+        assert snap["lp.solve.errors.highs"]["value"] == 1
+        assert "lp.solve.retry" not in snap
+        assert "lp.solve.failures" not in snap
+
     def test_no_budget_no_injector_is_default(self):
         # The zero-fault path must not depend on any of the new machinery.
         solution = solve_lp(tiny_lp(), time_budget_s=None)
